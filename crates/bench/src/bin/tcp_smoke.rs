@@ -7,7 +7,7 @@
 //!
 //! This is the wall-clock twin of the simulator's crash-restart scenario
 //! (`recovery_smoke`): same protocol code behind the sans-IO runtime
-//! boundary, driven by OS threads, kernel sockets and real fsyncs instead
+//! boundary, driven by OS threads, kernel sockets and real file appends instead
 //! of virtual time. Timings here are load-dependent, so unlike the
 //! simulator smokes this binary is *not* byte-diffed by the determinism
 //! job — it gates on invariants, not output bytes.

@@ -126,14 +126,14 @@ fn run_tcp() -> bool {
     );
     ok &= spans_ok;
 
-    // Transport gauges stamped from the runtimes' NetStats: every replica
+    // Transport series stamped from the runtimes' NetStats: every replica
     // dials 3 peers, so the merged snapshot must carry per-peer frame/byte
-    // series, and nothing should have been dropped on an idle loopback.
+    // counters, and nothing should have been dropped on an idle loopback.
     let frames: u64 = snapshot
-        .gauges
+        .counters
         .iter()
         .filter(|((name, _), _)| *name == "net.frames_sent")
-        .map(|(_, g)| g.max)
+        .map(|(_, v)| *v)
         .sum();
     let drops: u64 = snapshot
         .gauges

@@ -29,10 +29,11 @@
 //! * [`node`] — the Manager: the full ISS replica tying everything together
 //!   as an event-driven process (also usable in single-leader baseline mode
 //!   and in a Mir-BFT-like mode with an epoch primary);
-//! * [`stages`] — the compartmentalized pipeline: batcher stages (request
-//!   intake and batch cutting) in front of the orderer and executor stages
-//!   (delivery fan-out) behind it, each a first-class simulated process with
-//!   its own CPU budget.
+//! * [`stages`] — the request lifecycle: one intake (validation, bucket
+//!   queues, batch cutting) and one delivery implementation, called
+//!   in-process by the monolithic node or hosted by the compartmentalized
+//!   pipeline's batcher and executor stages, each a first-class simulated
+//!   process with its own CPU budget.
 
 pub mod buckets;
 pub mod checkpoint;

@@ -1,7 +1,8 @@
 //! The ISS replica (the Manager module of Section 4.1), implemented as an
 //! event-driven process over the [`iss_runtime::process`] interface.
 //!
-//! One [`IssNode`] owns the log, the bucket queues, the leader-selection
+//! One [`IssNode`] owns the log, the request intake and delivery (in-process,
+//! or at pipeline stages: see [`crate::stages`]), the leader-selection
 //! policy, the checkpointing state and the currently active SB instances
 //! (one per segment of the current epoch), and drives them from three kinds
 //! of events: client requests, protocol messages and timers.
@@ -40,30 +41,29 @@
 //! tables, replacing four `retain` scans whose cost grew with the node count
 //! and the timer population.
 
-use crate::buckets::BucketQueues;
 use crate::checkpoint::{CheckpointManager, StableCheckpoint};
 use crate::epoch::EpochConfig;
 use crate::log::IssLog;
 use crate::orderer::OrdererFactory;
 use crate::policy::LeaderPolicy;
-use crate::stages::StageCountersHandle;
+use crate::stages::{StageCountersHandle, Stages};
 use crate::state::{EpochState, InstanceSlot, NodeState};
 use crate::validation::{EpochBuckets, RequestValidation};
 use bytes::{Bytes, BytesMut};
 use iss_crypto::{Digest, KeyPair, SignatureRegistry};
 use iss_messages::codec::{decode_log, encode_log};
 use iss_messages::{ClientMsg, IssMsg, MirMsg, NetMsg, SbMsg, StageMsg};
-use iss_runtime::process::{Addr, Context, Process, StageRole};
+use iss_runtime::process::{Addr, Context, Process};
 use iss_sb::{SbAction, SbContext, SbInstance};
 use iss_storage::record::{decode_policy, encode_policy, PolicyState, Snapshot, WalRecord};
 use iss_storage::Storage;
-use iss_telemetry::{Recorder, TelemetryHandle};
+use iss_telemetry::TelemetryHandle;
 use iss_types::{
-    Batch, BucketId, ClientId, Duration, EpochNr, Error, InstanceId, IssConfig, NodeId, Request,
-    RequestId, SeqNr, Time, TimerId,
+    Batch, ClientId, Duration, EpochNr, Error, InstanceId, IssConfig, NodeId, Request, RequestId,
+    SeqNr, Time, TimerId,
 };
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -246,7 +246,8 @@ pub struct IssNode<S: NodeState = EpochState> {
     /// timer routing (the former four `HashMap`s).
     state: S,
     log: IssLog,
-    buckets: BucketQueues,
+    /// Request intake and delivery: in-process, or at the pipeline stages.
+    stages: Stages,
     validation: RequestValidation,
     policy: LeaderPolicy,
     checkpoints: CheckpointManager,
@@ -281,20 +282,6 @@ pub struct IssNode<S: NodeState = EpochState> {
     /// Proposal rejections already forwarded to the sink (the validation
     /// counter is cumulative; this tracks the delta reported so far).
     reported_proposal_rejections: u64,
-
-    /// Compartmentalized pipeline state (`None` = monolithic node).
-    pipeline: Option<PipelineState>,
-}
-
-/// Runtime state of the compartmentalized pipeline at the orderer.
-struct PipelineState {
-    batchers: u32,
-    executors: u32,
-    /// Batches cut by the batcher stages, waiting for a free slot in this
-    /// node's segment.
-    ready: VecDeque<Batch>,
-    /// Peak ready-queue backlog (the orderer's queue-depth column).
-    counters: Option<StageCountersHandle>,
 }
 
 /// Catch-up bookkeeping between recovery start and completion.
@@ -364,14 +351,8 @@ impl<S: NodeState + Default> IssNode<S> {
             CheckpointManager::new(my_id, keypair, Arc::clone(&registry), 2 * config.f() + 1);
         let leaders = Self::leaders_for(&opts, &policy, 0);
         let epoch = EpochConfig::build(config, 0, 0, leaders);
-        let buckets = BucketQueues::new(config.num_buckets());
         let all_nodes = config.all_nodes();
-        let pipeline = opts.pipeline.clone().map(|p| PipelineState {
-            batchers: p.batchers.max(1),
-            executors: p.executors.max(1),
-            ready: VecDeque::new(),
-            counters: p.counters,
-        });
+        let stages = Stages::new(my_id, &opts, Rc::clone(&sink));
         IssNode {
             my_id,
             opts,
@@ -382,7 +363,7 @@ impl<S: NodeState + Default> IssNode<S> {
             epoch,
             state: S::default(),
             log: IssLog::new(),
-            buckets,
+            stages,
             validation,
             policy,
             checkpoints,
@@ -397,7 +378,6 @@ impl<S: NodeState + Default> IssNode<S> {
             incoming_snapshot: None,
             suspicions: Vec::new(),
             reported_proposal_rejections: 0,
-            pipeline,
         }
     }
 
@@ -446,9 +426,10 @@ impl<S: NodeState> IssNode<S> {
         &self.log
     }
 
-    /// Number of requests waiting in this node's bucket queues.
+    /// Number of requests waiting in this node's bucket queues (zero when
+    /// pipeline stages hold them).
     pub fn pending_requests(&self) -> usize {
-        self.buckets.len()
+        self.stages.queued()
     }
 
     /// Whether the node is currently catching up (testing / diagnostics).
@@ -570,8 +551,19 @@ impl<S: NodeState> IssNode<S> {
         self.snapshot_meta.retain(|e, _| *e >= keep_from);
     }
 
-    /// Appends a committed entry to the WAL, if this node persists.
-    fn persist_commit(&mut self, sn: SeqNr, leader: NodeId, batch: &Option<Batch>) {
+    /// Applies a live commit — SB delivery or state transfer — to the log,
+    /// the WAL and the request intake. Returns `false` (and does nothing)
+    /// if `sn` was already committed.
+    fn commit(
+        &mut self,
+        sn: SeqNr,
+        leader: NodeId,
+        batch: &Option<Batch>,
+        ctx: &mut Context<'_, NetMsg>,
+    ) -> bool {
+        if !self.log.commit(sn, batch.clone(), leader) {
+            return false;
+        }
         if let Some(storage) = &self.storage {
             let _ = storage.append(&WalRecord::Committed {
                 seq_nr: sn,
@@ -579,6 +571,10 @@ impl<S: NodeState> IssNode<S> {
                 batch: batch.clone(),
             });
         }
+        if let Some(b) = batch {
+            self.stages.commit(&mut self.validation, b, ctx);
+        }
+        true
     }
 
     /// Persists a snapshot at a newly stable checkpoint and prunes the WAL
@@ -809,15 +805,7 @@ impl<S: NodeState> IssNode<S> {
         };
         for (sn, batch) in &entries {
             let leader = self.state.leader_of(*sn).unwrap_or(NodeId(0));
-            if self.log.commit(*sn, batch.clone(), leader) {
-                self.persist_commit(*sn, leader, batch);
-                if let Some(b) = batch {
-                    for req in b.requests() {
-                        self.buckets.remove(&req.id);
-                        self.validation.mark_delivered(&req.id);
-                    }
-                }
-            }
+            self.commit(*sn, leader, batch, ctx);
         }
         self.deliver_ready(ctx);
         if self.log.first_undelivered() <= assembly.max_seq_nr {
@@ -927,88 +915,12 @@ impl<S: NodeState> IssNode<S> {
             }
         }
 
-        // Compartmentalized pipeline: batches still queued for proposal were
-        // cut against the previous epoch's bucket-leader alignment. Hand
-        // their requests back to the owning batchers, then announce the new
-        // epoch's led buckets (empty when this node does not lead) so the
-        // batchers cut only from buckets this orderer may propose.
-        if let Some(p) = self.pipeline.as_mut() {
-            let leftover: Vec<Batch> = p.ready.drain(..).collect();
-            for batch in &leftover {
-                self.resurrect_to_batchers(batch.requests(), ctx);
-            }
-            let led: Vec<BucketId> = self
-                .my_segment_idx
-                .map(|idx| self.epoch.segments[idx].buckets.clone())
-                .unwrap_or_default();
-            let epoch = self.current_epoch;
-            let batchers = self.pipeline.as_ref().map_or(0, |p| p.batchers);
-            for index in 0..batchers {
-                ctx.send(
-                    self.batcher_addr(index as usize),
-                    NetMsg::Stage(StageMsg::EpochLeading {
-                        epoch,
-                        buckets: led.clone(),
-                    }),
-                );
-            }
-        }
-    }
-
-    /// Address of this node's `index`-th batcher stage.
-    fn batcher_addr(&self, index: usize) -> Addr {
-        Addr::Stage {
-            node: self.my_id,
-            role: StageRole::Batcher,
-            index: index as u32,
-        }
-    }
-
-    /// Compartment fan-out on commit: tell the owning batchers these requests
-    /// are ordered, so queued copies are dropped and re-submissions rejected.
-    fn notify_committed(&self, batch: &Batch, ctx: &mut Context<'_, NetMsg>) {
-        let Some(p) = &self.pipeline else { return };
-        let b = p.batchers;
-        let num_buckets = self.opts.config.num_buckets();
-        let num_nodes = self.opts.config.num_nodes;
-        let mut per_batcher: Vec<Vec<RequestId>> = vec![Vec::new(); b as usize];
-        for req in batch.requests() {
-            let owner = crate::stages::batcher_for(req.id.bucket(num_buckets), num_nodes, b);
-            per_batcher[owner as usize].push(req.id);
-        }
-        for (index, requests) in per_batcher.into_iter().enumerate() {
-            if !requests.is_empty() {
-                ctx.send(
-                    self.batcher_addr(index),
-                    NetMsg::Stage(StageMsg::Committed { requests }),
-                );
-            }
-        }
-    }
-
-    /// Compartment fan-out of not-yet-delivered requests back to the owning
-    /// batcher stages (⊥-resolved proposals, stale ready batches at epoch
-    /// transitions).
-    fn resurrect_to_batchers(&self, requests: &[Request], ctx: &mut Context<'_, NetMsg>) {
-        let Some(p) = &self.pipeline else { return };
-        let b = p.batchers;
-        let num_buckets = self.opts.config.num_buckets();
-        let num_nodes = self.opts.config.num_nodes;
-        let mut per_batcher: Vec<Vec<Request>> = vec![Vec::new(); b as usize];
-        for req in requests {
-            if !self.validation.is_delivered(&req.id) {
-                let owner = crate::stages::batcher_for(req.id.bucket(num_buckets), num_nodes, b);
-                per_batcher[owner as usize].push(req.clone());
-            }
-        }
-        for (index, requests) in per_batcher.into_iter().enumerate() {
-            if !requests.is_empty() {
-                ctx.send(
-                    self.batcher_addr(index),
-                    NetMsg::Stage(StageMsg::Resurrect { requests }),
-                );
-            }
-        }
+        let led = match self.my_segment_idx {
+            Some(idx) => &self.epoch.segments[idx].buckets[..],
+            None => &[],
+        };
+        self.stages
+            .begin_epoch(self.current_epoch, led, &self.validation, ctx);
     }
 
     /// Runs a closure against the SB instance at `slot` and applies its
@@ -1102,37 +1014,16 @@ impl<S: NodeState> IssNode<S> {
                 .map(|s| s.leader)
                 .unwrap_or(NodeId(0)),
         );
-        if !self.log.commit(sn, batch.clone(), leader) {
+        if !self.commit(sn, leader, &batch, ctx) {
             return; // already committed (e.g. via state transfer)
         }
         self.opts.telemetry.on_quorum(ctx.now(), sn);
-        self.persist_commit(sn, leader, &batch);
-        match &batch {
-            Some(b) => {
-                for req in b.requests() {
-                    self.buckets.remove(&req.id);
-                    self.validation.mark_delivered(&req.id);
-                }
-                // Compartmentalized pipeline: the queued copies live at the
-                // batcher stages, not in `self.buckets` — drop them there.
-                if self.pipeline.is_some() {
-                    self.notify_committed(b, ctx);
-                }
-            }
-            None => {
-                // ⊥ delivered: resurrect our own unsuccessful proposal, if any.
-                self.policy.record_nil_delivery(leader, sn);
-                if let Some(proposed) = self.state.take_proposed(sn) {
-                    if self.pipeline.is_some() {
-                        self.resurrect_to_batchers(proposed.requests(), ctx);
-                    } else {
-                        for req in proposed.requests() {
-                            if !self.validation.is_delivered(&req.id) {
-                                self.buckets.resurrect(req.clone());
-                            }
-                        }
-                    }
-                }
+        if batch.is_none() {
+            // ⊥ delivered: resurrect our own unsuccessful proposal, if any.
+            self.policy.record_nil_delivery(leader, sn);
+            if let Some(proposed) = self.state.take_proposed(sn) {
+                self.stages
+                    .resurrect(&self.validation, proposed.requests(), ctx);
             }
         }
         self.sink.borrow_mut().on_batch_committed(
@@ -1180,9 +1071,8 @@ impl<S: NodeState> IssNode<S> {
         if self.opts.telemetry.is_enabled() {
             // One deliver span per distinct batch (`deliver_ready` walks the
             // log in order, so a batch's requests are contiguous). End-to-end
-            // completion is recorded wherever delivery actually happens: here
-            // for the monolithic node, at the executor stages for the
-            // pipeline (through the shared per-machine telemetry).
+            // completion is recorded wherever delivery actually happens
+            // (through the shared per-machine telemetry).
             let now = ctx.now();
             let mut last_sn = None;
             for d in &delivered {
@@ -1192,51 +1082,7 @@ impl<S: NodeState> IssNode<S> {
                 }
             }
         }
-        // Compartmentalized pipeline: delivery (sink notification and client
-        // responses) happens at the executor stages; fan the committed
-        // requests out by the deterministic seq-nr hash and return.
-        if let Some(p) = &self.pipeline {
-            let e = p.executors as usize;
-            let mut per_executor: Vec<Vec<(Request, SeqNr)>> = vec![Vec::new(); e];
-            for d in &delivered {
-                per_executor[(d.request_seq_nr % e as u64) as usize]
-                    .push((d.request.clone(), d.request_seq_nr));
-            }
-            for (index, deliveries) in per_executor.into_iter().enumerate() {
-                if !deliveries.is_empty() {
-                    ctx.send(
-                        Addr::Stage {
-                            node: self.my_id,
-                            role: StageRole::Executor,
-                            index: index as u32,
-                        },
-                        NetMsg::Stage(StageMsg::Execute { deliveries }),
-                    );
-                }
-            }
-            return;
-        }
-        let now = ctx.now();
-        for d in &delivered {
-            self.opts
-                .telemetry
-                .on_end_to_end(now, telemetry_request_key(&d.request.id));
-            self.sink.borrow_mut().on_request_delivered(
-                self.my_id,
-                &d.request,
-                d.request_seq_nr,
-                now,
-            );
-            if self.opts.respond_to_clients {
-                ctx.send(
-                    Addr::Client(d.request.id.client),
-                    NetMsg::Client(ClientMsg::Response {
-                        request: d.request.id,
-                        seq_nr: d.request_seq_nr,
-                    }),
-                );
-            }
-        }
+        self.stages.deliver(delivered, ctx);
     }
 
     fn maybe_finish_epoch(&mut self, ctx: &mut Context<'_, NetMsg>) {
@@ -1351,99 +1197,38 @@ impl<S: NodeState> IssNode<S> {
         let instance_id = segment.instance;
         let now = ctx.now();
 
-        // Telemetry: batch keys of the ready batches merged into this
-        // proposal (pipeline mode), pairing the batcher's cut timestamps
-        // with the proposal below. Only collected while telemetry is on.
+        // Telemetry: keys of the cut batches this proposal carries, pairing
+        // their cut timestamps with the proposal below. Only collected while
+        // telemetry is on.
         let mut proposal_sources: Vec<u64> = Vec::new();
-        let telemetry_on = self.opts.telemetry.is_enabled();
-
+        let since_last = now.saturating_since(self.last_proposal_at);
         let batch = if let Some(straggler) = self.opts.straggler {
             // A Byzantine straggler delays as much as possible and proposes
             // only empty batches.
-            if now.saturating_since(self.last_proposal_at) < straggler.proposal_interval
-                && self.next_proposal > 0
-            {
+            if since_last < straggler.proposal_interval && self.next_proposal > 0 {
                 return;
             }
             Batch::empty()
-        } else if let Some(p) = self.pipeline.as_mut() {
-            // Compartmentalized pipeline: propose what the batcher stages
-            // cut. B batchers each cut ~1/B-sized batches on the same
-            // cadence, so merge queued batches up to the size cap — one
-            // ready batch per tick would divide throughput by B instead of
-            // scaling it. An empty proposal on the max-batch timeout keeps
-            // the segment live when the batchers have nothing.
-            let max_size = self.opts.config.max_batch_size;
-            let max_wait = self.opts.config.max_batch_timeout;
-            match p.ready.pop_front() {
-                Some(first) => {
-                    if telemetry_on {
-                        proposal_sources.push(telemetry_batch_key(&first));
-                    }
-                    let mut requests = first.requests().to_vec();
-                    while let Some(next) = p.ready.front() {
-                        if requests.len() + next.len() > max_size {
-                            break;
-                        }
-                        let next = p.ready.pop_front().expect("front checked");
-                        if telemetry_on {
-                            proposal_sources.push(telemetry_batch_key(&next));
-                        }
-                        requests.extend_from_slice(next.requests());
-                    }
-                    Batch::new(requests)
-                }
-                None => {
-                    let since_last = now.saturating_since(self.last_proposal_at);
-                    if max_wait > Duration::ZERO && since_last >= max_wait {
-                        Batch::empty()
-                    } else {
-                        return;
-                    }
-                }
-            }
         } else {
-            // `segment` borrows `self.epoch`; the queues live in
-            // `self.buckets` — disjoint fields, so the bucket list is read in
+            // `segment` borrows `self.epoch`, the queues live in
+            // `self.stages` — disjoint fields, so the bucket list is read in
             // place instead of being cloned per tick.
-            let available = self.buckets.available_in(&segment.buckets);
-            let max_size = self.opts.config.max_batch_size;
-            let since_last = now.saturating_since(self.last_proposal_at);
-            let min_wait = self.opts.config.min_batch_timeout;
-            let max_wait = self.opts.config.max_batch_timeout;
-            let full = available >= max_size;
-            let have_some = available > 0 && since_last >= min_wait;
-            let timed_out = max_wait > Duration::ZERO && since_last >= max_wait;
-            if full || have_some || timed_out {
-                self.buckets.cut_batch(&segment.buckets, max_size)
-            } else {
-                return;
+            let next = self.stages.next_batch(
+                &segment.buckets,
+                &self.opts.config,
+                since_last,
+                &self.opts.telemetry,
+                now,
+                &mut proposal_sources,
+            );
+            match next {
+                Some(batch) => batch,
+                None => return,
             }
         };
-
-        if telemetry_on {
-            if self.pipeline.is_none() && !batch.is_empty() {
-                // Monolithic node: the batch is cut and proposed in the same
-                // tick, so record both edges here (cut→propose ≈ 0; the
-                // pipeline's batcher stages record their cuts themselves).
-                let bkey = telemetry_batch_key(&batch);
-                self.opts.telemetry.on_cut(
-                    now,
-                    bkey,
-                    batch
-                        .requests()
-                        .iter()
-                        .map(|r| telemetry_request_key(&r.id)),
-                );
-                proposal_sources.push(bkey);
-            }
-            self.opts.telemetry.on_propose(
-                now,
-                sn,
-                batch.len() as u64,
-                proposal_sources.into_iter(),
-            );
-        }
+        self.opts
+            .telemetry
+            .on_propose(now, sn, batch.len() as u64, proposal_sources.into_iter());
 
         self.last_proposal_at = now;
         self.next_proposal += 1;
@@ -1456,20 +1241,16 @@ impl<S: NodeState> IssNode<S> {
 
     fn on_net_message(&mut self, from: Addr, msg: NetMsg, ctx: &mut Context<'_, NetMsg>) {
         match msg {
-            NetMsg::Client(ClientMsg::Request(req)) => match self.validation.validate_request(&req)
-            {
-                Ok(()) => {
-                    self.opts
-                        .telemetry
-                        .on_arrival(ctx.now(), telemetry_request_key(&req.id));
-                    self.buckets.add(req);
-                }
-                Err(e) => {
-                    self.sink
-                        .borrow_mut()
-                        .on_request_rejected(self.my_id, &req, &e, ctx.now());
-                }
-            },
+            NetMsg::Client(ClientMsg::Request(req)) => {
+                let (sink, me, now) = (&self.sink, self.my_id, ctx.now());
+                self.stages.admit(
+                    &self.validation,
+                    &self.opts.telemetry,
+                    req,
+                    ctx,
+                    |req, e| sink.borrow_mut().on_request_rejected(me, req, e, now),
+                );
+            }
             NetMsg::Client(_) => {}
             NetMsg::Sb { instance, msg } => {
                 let Some(node) = from.as_node() else { return };
@@ -1562,15 +1343,7 @@ impl<S: NodeState> IssNode<S> {
                 // against known signers when the checkpoint was formed.
                 for entry in entries {
                     let leader = self.state.leader_of(entry.seq_nr).unwrap_or(NodeId(0));
-                    if self.log.commit(entry.seq_nr, entry.batch.clone(), leader) {
-                        self.persist_commit(entry.seq_nr, leader, &entry.batch);
-                        if let Some(b) = &entry.batch {
-                            for req in b.requests() {
-                                self.buckets.remove(&req.id);
-                                self.validation.mark_delivered(&req.id);
-                            }
-                        }
-                    }
+                    self.commit(entry.seq_nr, leader, &entry.batch, ctx);
                 }
                 self.deliver_ready(ctx);
                 self.maybe_finish_epoch(ctx);
@@ -1618,19 +1391,7 @@ impl<S: NodeState> IssNode<S> {
                 }
             }
             NetMsg::Stage(StageMsg::BatchReady { batch }) => {
-                // A batcher stage cut a batch; queue it for the next free
-                // proposal slot (the pacing tick enforces the batch rate).
-                if let Some(p) = self.pipeline.as_mut() {
-                    p.ready.push_back(batch);
-                    if let Some(c) = &p.counters {
-                        let mut c = c.borrow_mut();
-                        c.handoffs += 1;
-                        c.max_queue_depth = c.max_queue_depth.max(p.ready.len());
-                    }
-                    self.opts
-                        .telemetry
-                        .gauge_set("orderer.ready_queue", p.ready.len() as u64);
-                }
+                self.stages.on_batch_ready(batch, &self.opts.telemetry);
             }
             NetMsg::Stage(_) => {}
             NetMsg::Mir(_) | NetMsg::Baseline(_) => {}

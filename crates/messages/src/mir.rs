@@ -1,4 +1,4 @@
-//! Messages of the Mir-BFT-style baseline (`iss-mirbft`).
+//! Messages of the Mir-BFT-style baseline (`iss_core::Mode::Mir`).
 //!
 //! Mir-BFT multiplexes PBFT instances like ISS but relies on an *epoch
 //! primary* and a stop-the-world epoch change (Section 7 and the comparison

@@ -10,7 +10,7 @@
 //! across node threads — the log is both the test oracle (agreement across
 //! nodes, recovery evidence) and the observable progress counter.
 
-use crate::runtime::{peer_table, PeerTable, TcpConfig, TcpHandle, TcpRuntime};
+use crate::runtime::{peer_table, NetStats, PeerTable, TcpConfig, TcpHandle, TcpRuntime};
 use iss_core::{DeliverySink, IssNode, NodeOptions};
 use iss_crypto::SignatureRegistry;
 use iss_sim::client_proc::ClientProcess;
@@ -193,6 +193,35 @@ pub struct TcpCluster {
     /// One handle per replica, created at launch and reused across
     /// restarts, so a node's histograms accumulate over its incarnations.
     telemetry: Vec<TelemetryHandle>,
+    /// Per replica, the transport totals its current incarnation already
+    /// added to the telemetry counters (see [`stamp_transport_totals`]).
+    stamped: Mutex<Vec<StampedTotals>>,
+}
+
+/// Per peer: frames, bytes and connects already counted.
+type StampedTotals = HashMap<NodeId, [u64; 3]>;
+
+/// Transport totals recorded as counters, in [`StampedTotals`] order.
+const TRANSPORT_COUNTERS: [&str; 3] = ["net.frames_sent", "net.bytes_sent", "net.reconnects"];
+
+/// Adds the growth of one runtime's per-peer transport totals since the
+/// last stamp to `tel`'s counters. Counters sum in
+/// [`TelemetrySnapshot::merge`], so the merged snapshot carries cluster
+/// totals, and re-stamping unchanged statistics adds nothing.
+fn stamp_transport_totals(tel: &TelemetryHandle, stats: &NetStats, stamped: &mut StampedTotals) {
+    use std::sync::atomic::Ordering::Relaxed;
+    for (peer, p) in &stats.peers {
+        let now = [
+            p.frames_sent.load(Relaxed),
+            p.bytes_sent.load(Relaxed),
+            p.connects.load(Relaxed),
+        ];
+        let seen = stamped.entry(*peer).or_default();
+        for ((name, now), seen) in TRANSPORT_COUNTERS.iter().zip(now).zip(seen.iter_mut()) {
+            tel.counter_add_for(name, peer.0, now - *seen);
+            *seen = now;
+        }
+    }
 }
 
 impl TcpCluster {
@@ -224,7 +253,7 @@ impl TcpCluster {
             listeners.push(listener);
         }
 
-        let telemetry = (0..cfg.num_nodes as u32)
+        let telemetry: Vec<TelemetryHandle> = (0..cfg.num_nodes as u32)
             .map(|n| {
                 if cfg.telemetry {
                     TelemetryHandle::enabled(n)
@@ -240,6 +269,7 @@ impl TcpCluster {
             nodes: Vec::new(),
             clients: Vec::new(),
             commits,
+            stamped: Mutex::new(vec![StampedTotals::new(); listeners.len()]),
             telemetry,
         };
         for (n, listener) in listeners.into_iter().enumerate() {
@@ -268,7 +298,14 @@ impl TcpCluster {
     /// [`TcpCluster::restart_node`].
     pub fn kill_node(&mut self, n: NodeId) {
         if let Some(handle) = self.nodes[n.index()].take() {
+            let stats = handle.stats();
             handle.shutdown();
+            // Count the dead incarnation's final transport totals; the next
+            // incarnation's statistics start from zero.
+            let mut stamped = self.stamped.lock().expect("stamping never panics");
+            let stamped = &mut stamped[n.index()];
+            stamp_transport_totals(&self.telemetry[n.index()], &stats, stamped);
+            stamped.clear();
         }
     }
 
@@ -298,21 +335,22 @@ impl TcpCluster {
     /// launched with `telemetry: false`.
     ///
     /// Before merging, each live node's transport statistics are stamped
-    /// into its telemetry as gauges (`net.mailbox_depth`,
-    /// `net.writer_depth[peer]`, `net.writer_drops[peer]`,
-    /// `net.reconnects[peer]`, `net.frames_sent[peer]`,
-    /// `net.bytes_sent[peer]`), so the snapshot carries the satellite view
-    /// of the wire next to the protocol's latency histograms. Killed nodes
-    /// keep their protocol telemetry (the handle outlives the runtime) but
-    /// their final transport numbers are lost with the sockets.
+    /// into its telemetry — levels as gauges (`net.mailbox_depth`,
+    /// `net.writer_depth[peer]`, `net.writer_drops[peer]`), totals as
+    /// counters (`net.frames_sent[peer]`, `net.bytes_sent[peer]`,
+    /// `net.reconnects[peer]`) that sum across nodes and incarnations — so
+    /// the snapshot carries the satellite view of the wire next to the
+    /// protocol's latency histograms.
     pub fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
         if !self.cfg.telemetry {
             return None;
         }
+        let mut stamped = self.stamped.lock().expect("stamping never panics");
         for (i, handle) in self.nodes.iter().enumerate() {
             let Some(handle) = handle else { continue };
             let stats = handle.stats();
             let tel = &self.telemetry[i];
+            stamp_transport_totals(tel, &stats, &mut stamped[i]);
             // Stamp the observed maximum first, then the current value:
             // `GaugeStat` keeps `last` = latest set and `max` = largest set,
             // so this order leaves (last = current, max = peak).
@@ -336,9 +374,6 @@ impl TcpCluster {
                 tel.gauge_set_for("net.writer_depth", idx, p.max_queue_depth.load(Relaxed));
                 tel.gauge_set_for("net.writer_depth", idx, p.queue_depth.load(Relaxed));
                 tel.gauge_set_for("net.writer_drops", idx, p.dropped.load(Relaxed));
-                tel.gauge_set_for("net.reconnects", idx, p.connects.load(Relaxed));
-                tel.gauge_set_for("net.frames_sent", idx, p.frames_sent.load(Relaxed));
-                tel.gauge_set_for("net.bytes_sent", idx, p.bytes_sent.load(Relaxed));
             }
         }
         let mut merged = TelemetrySnapshot::empty();
@@ -449,5 +484,65 @@ impl TcpCluster {
             None,
             builder,
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runtime::PeerStats;
+    use std::sync::atomic::Ordering::Relaxed;
+
+    /// Runtime statistics with `frames` frames sent to each of `peers`.
+    fn stats(peers: &[u32], frames: u64) -> NetStats {
+        let mut stats = NetStats::default();
+        for peer in peers {
+            let p = PeerStats::default();
+            p.frames_sent.store(frames, Relaxed);
+            p.bytes_sent.store(frames * 100, Relaxed);
+            p.connects.store(1, Relaxed);
+            stats.peers.insert(NodeId(*peer), Arc::new(p));
+        }
+        stats
+    }
+
+    fn counter(snapshot: &TelemetrySnapshot, name: &'static str, peer: u32) -> u64 {
+        snapshot
+            .counters
+            .get(&(name, Some(peer)))
+            .copied()
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn merged_transport_counters_equal_the_per_node_sum() {
+        let handles = [TelemetryHandle::enabled(0), TelemetryHandle::enabled(1)];
+        let node_stats = [stats(&[1, 2], 10), stats(&[0, 2], 7)];
+        let mut stamped = vec![StampedTotals::new(); 2];
+        // Stamping unchanged statistics twice must not double-count.
+        for _ in 0..2 {
+            for (i, h) in handles.iter().enumerate() {
+                stamp_transport_totals(h, &node_stats[i], &mut stamped[i]);
+            }
+        }
+        let peer2 = &node_stats[1].peers[&NodeId(2)];
+        peer2.frames_sent.store(9, Relaxed);
+        stamp_transport_totals(&handles[1], &node_stats[1], &mut stamped[1]);
+
+        let shards: Vec<TelemetrySnapshot> =
+            handles.iter().map(|h| h.snapshot().unwrap()).collect();
+        let mut merged = TelemetrySnapshot::empty();
+        for shard in &shards {
+            merged.merge(shard);
+        }
+        for name in TRANSPORT_COUNTERS {
+            for peer in 0..3 {
+                let per_node_sum: u64 = shards.iter().map(|s| counter(s, name, peer)).sum();
+                assert_eq!(counter(&merged, name, peer), per_node_sum, "{name}[{peer}]");
+            }
+        }
+        // Peer 2 hears from both nodes: 10 + 9 frames, not max(10, 9).
+        assert_eq!(counter(&merged, "net.frames_sent", 2), 19);
+        assert_eq!(counter(&merged, "net.reconnects", 2), 2);
     }
 }

@@ -20,7 +20,7 @@
 //!
 //! What the sockets add over the simulator — and what they cost — is
 //! documented in `docs/architecture.md` (runtime boundary section): real
-//! kernel scheduling, real fsync latency and real connection failure, in
+//! kernel scheduling, real file-append latency and real connection failure, in
 //! exchange for determinism and virtual-time control.
 
 pub mod cluster;

@@ -33,9 +33,6 @@
 //! println!("delivered {} requests", report.delivered);
 //! ```
 //!
-//! The legacy flat [`ClusterSpec`] remains as a compatibility veneer that
-//! lowers onto a [`Scenario`] ([`ClusterSpec::lower`]); the lowering is
-//! locked byte-identical to the builder path by `tests/scenario_lowering.rs`.
 //! One experiment function per table/figure of the paper's evaluation
 //! (Section 6) lives in [`experiments`], alongside beyond-the-paper
 //! scenarios (bursty, skewed, partition-heal, lossy-window) exercised by the
@@ -53,9 +50,7 @@ pub use adversary::{
     evaluate_gates, AdversarialProcess, AdversaryEvent, AdversaryPlan, AdversaryReport, Behavior,
     ClientAdversary, MalformedKind, NodeAdversary, CENSORSHIP_EPOCH_BOUND,
 };
-pub use cluster::{
-    run_cluster, run_scenario, ClusterSpec, CrashTiming, Deployment, Report, StageReport,
-};
+pub use cluster::{run_scenario, CrashTiming, Deployment, Report, StageReport};
 pub use factories::{make_factory, Protocol};
 pub use metrics::{Metrics, MetricsHandle, MetricsSink};
 pub use scenario::{

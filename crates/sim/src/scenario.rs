@@ -28,10 +28,7 @@
 //!
 //! Scenarios are built with [`ScenarioBuilder`] (see [`Scenario::builder`])
 //! and are pure data: new experiment shapes are new scenarios, not new code
-//! paths. The legacy flat [`crate::ClusterSpec`] survives as a thin veneer
-//! that lowers onto a `Scenario` ([`crate::ClusterSpec::lower`]) — the
-//! lowering is locked byte-identical to the builder path by
-//! `tests/scenario_lowering.rs`.
+//! paths.
 
 use crate::adversary::AdversaryPlan;
 use crate::cluster::{Deployment, Report};
@@ -388,46 +385,6 @@ pub struct Scenario {
     pub telemetry: bool,
 }
 
-/// The ISS configuration for a protocol/size/policy triple (Table 1 preset
-/// adapted for simulation) — shared by [`Scenario`] and the `ClusterSpec`
-/// veneer so the two surfaces can never drift apart.
-pub(crate) fn iss_config_for(
-    protocol: Protocol,
-    num_nodes: usize,
-    policy: LeaderPolicyKind,
-) -> IssConfig {
-    let kind = match protocol {
-        Protocol::Pbft | Protocol::Reference => ProtocolKind::Pbft,
-        Protocol::HotStuff => ProtocolKind::HotStuff,
-        Protocol::Raft => ProtocolKind::Raft,
-    };
-    let mut config = IssConfig::preset(kind, num_nodes).with_policy(policy);
-    // Client authenticity is charged through the CPU cost model in the
-    // simulator instead of computing real signatures on the host
-    // (see DESIGN.md, substitutions).
-    config.client_signatures = false;
-    // The open-loop generator is not throttled by watermarks.
-    config.client_watermark_window = 1 << 30;
-    config
-}
-
-/// The epoch duration implied by a configuration (used to time epoch-start /
-/// epoch-end crash faults).
-pub(crate) fn expected_epoch_duration_for(
-    config: &IssConfig,
-    mode: Mode,
-    num_nodes: usize,
-) -> Duration {
-    let leaders = match mode {
-        Mode::SingleLeader => 1,
-        _ => num_nodes,
-    };
-    match config.batch_rate {
-        Some(rate) => Duration::from_secs_f64(config.epoch_length(leaders) as f64 / rate),
-        None => Duration::from_secs_f64(config.epoch_length(leaders) as f64 * 0.1),
-    }
-}
-
 impl Scenario {
     /// Starts building a scenario for an ISS deployment of `num_nodes`
     /// replicas running `protocol`, with the paper's defaults for every
@@ -461,13 +418,33 @@ impl Scenario {
 
     /// The ISS configuration (Table 1 preset adapted for simulation).
     pub fn iss_config(&self) -> IssConfig {
-        iss_config_for(self.stack.protocol, self.num_nodes, self.stack.policy)
+        let kind = match self.stack.protocol {
+            Protocol::Pbft | Protocol::Reference => ProtocolKind::Pbft,
+            Protocol::HotStuff => ProtocolKind::HotStuff,
+            Protocol::Raft => ProtocolKind::Raft,
+        };
+        let mut config = IssConfig::preset(kind, self.num_nodes).with_policy(self.stack.policy);
+        // Client authenticity is charged through the CPU cost model in the
+        // simulator instead of computing real signatures on the host
+        // (see DESIGN.md, substitutions).
+        config.client_signatures = false;
+        // The open-loop generator is not throttled by watermarks.
+        config.client_watermark_window = 1 << 30;
+        config
     }
 
     /// The epoch duration implied by the configuration (used to time
     /// epoch-start / epoch-end crash faults).
     pub fn expected_epoch_duration(&self) -> Duration {
-        expected_epoch_duration_for(&self.iss_config(), self.stack.mode, self.num_nodes)
+        let config = self.iss_config();
+        let leaders = match self.stack.mode {
+            Mode::SingleLeader => 1,
+            _ => self.num_nodes,
+        };
+        match config.batch_rate {
+            Some(rate) => Duration::from_secs_f64(config.epoch_length(leaders) as f64 / rate),
+            None => Duration::from_secs_f64(config.epoch_length(leaders) as f64 * 0.1),
+        }
     }
 
     /// The `(batchers, executors)` stage counts of a compartmentalized

@@ -5,11 +5,8 @@
 //! transition times, same message and byte totals. The epoch-state refactor
 //! is pure bookkeeping; any observable drift is a bug.
 
-// The deprecated flat spec is this suite's subject, not an oversight.
-#![allow(deprecated)]
-
-use iss_sim::cluster::{run_cluster, ClusterSpec, CrashTiming, Report};
-use iss_sim::Protocol;
+use iss_sim::cluster::{run_scenario, CrashTiming, Report};
+use iss_sim::{Protocol, Scenario, ScenarioBuilder};
 use iss_types::{Duration, NodeId};
 
 fn assert_identical(dense: &Report, reference: &Report, label: &str) {
@@ -56,11 +53,9 @@ fn assert_identical(dense: &Report, reference: &Report, label: &str) {
     );
 }
 
-fn run_both(mut spec: ClusterSpec, label: &str) {
-    spec.reference_node_state = false;
-    let dense = run_cluster(spec.clone());
-    spec.reference_node_state = true;
-    let reference = run_cluster(spec);
+fn run_both(scenario: ScenarioBuilder, label: &str) {
+    let dense = run_scenario(scenario.clone().reference_node_state(false).build());
+    let reference = run_scenario(scenario.reference_node_state(true).build());
     assert!(
         dense.delivered > 0,
         "{label}: the run must actually deliver requests"
@@ -70,21 +65,21 @@ fn run_both(mut spec: ClusterSpec, label: &str) {
 
 #[test]
 fn fault_free_cluster_is_bit_identical_across_state_impls() {
-    let mut spec = ClusterSpec::new(Protocol::Pbft, 4, 600.0);
-    spec.duration = Duration::from_secs(12);
-    spec.warmup = Duration::from_secs(2);
-    spec.num_clients = 4;
-    run_both(spec, "fault-free pbft n=4");
+    let scenario = Scenario::builder(Protocol::Pbft, 4)
+        .open_loop(4, 600.0)
+        .duration(Duration::from_secs(12))
+        .warmup(Duration::from_secs(2));
+    run_both(scenario, "fault-free pbft n=4");
 }
 
 #[test]
 fn crashy_cluster_with_epoch_changes_is_bit_identical_across_state_impls() {
     // A crash plus several epoch transitions exercises the GC, timer
     // retirement and ⊥-resurrection paths of both state implementations.
-    let mut spec = ClusterSpec::new(Protocol::Pbft, 4, 500.0);
-    spec.duration = Duration::from_secs(16);
-    spec.warmup = Duration::from_secs(2);
-    spec.num_clients = 4;
-    spec.crashes = vec![(NodeId(0), CrashTiming::EpochStart)];
-    run_both(spec, "epoch-start crash pbft n=4");
+    let scenario = Scenario::builder(Protocol::Pbft, 4)
+        .open_loop(4, 500.0)
+        .duration(Duration::from_secs(16))
+        .warmup(Duration::from_secs(2))
+        .crash(NodeId(0), CrashTiming::EpochStart);
+    run_both(scenario, "epoch-start crash pbft n=4");
 }

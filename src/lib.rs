@@ -17,8 +17,7 @@
 //! | [`messages`] | every wire message and the binary codec |
 //! | [`sb`] | the Sequenced Broadcast abstraction and its reference implementation |
 //! | [`pbft`], [`hotstuff`], [`raft`] | the three ordering protocols as SB instances |
-//! | [`core`] | the ISS framework: epochs, segments, buckets, leader policies, checkpointing |
-//! | [`mirbft`] | the Mir-BFT-style baseline |
+//! | [`core`] | the ISS framework: epochs, segments, buckets, leader policies, checkpointing, the Mir-BFT-style baseline mode |
 //! | [`client`], [`workload`] | client-side logic and load generation / metrics |
 //! | [`runtime`] | the sans-IO process model every engine drives (events in, actions out) |
 //! | [`simnet`], [`sim`] | the discrete-event WAN simulator and the experiment harness |
@@ -103,9 +102,9 @@
 //!
 //! boots 4 ISS-PBFT replicas on 127.0.0.1 — length-prefixed frames over
 //! `std::net::TcpStream`, one reader thread per peer funneling into a
-//! single protocol thread per node, and a durable fsync'd write-ahead log
-//! each — then loads them with open-loop clients on the wall clock and
-//! verifies pairwise agreement over everything delivered.
+//! single protocol thread per node, and a write-ahead log each (appended
+//! but not fsync'd) — then loads them with open-loop clients on the wall
+//! clock and verifies pairwise agreement over everything delivered.
 //! [`net::TcpCluster`] is the embeddable form of the same harness; the CI
 //! `tcp_smoke` gate additionally kills a replica under load and requires
 //! WAL-replay recovery and rejoin.
@@ -114,17 +113,13 @@
 //! on/off traffic, linearly ramping load and Zipf-skewed per-client rates
 //! (plus payload-size distributions), and the scenario's `FaultPlan`
 //! unifies crashes, Byzantine stragglers, healing partitions and
-//! lossy-link windows; see `iss::sim::scenario` for the full surface. The
-//! legacy flat `ClusterSpec` survives as a veneer that lowers onto a
-//! `Scenario`.
+//! lossy-link windows; see `iss::sim::scenario` for the full surface.
 
 pub use iss_client as client;
 pub use iss_core as core;
 pub use iss_crypto as crypto;
-pub use iss_fd as fd;
 pub use iss_hotstuff as hotstuff;
 pub use iss_messages as messages;
-pub use iss_mirbft as mirbft;
 pub use iss_net as net;
 pub use iss_pbft as pbft;
 pub use iss_raft as raft;
