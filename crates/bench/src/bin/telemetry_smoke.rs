@@ -136,14 +136,14 @@ fn run_tcp() -> bool {
         .map(|(_, v)| *v)
         .sum();
     let drops: u64 = snapshot
-        .gauges
+        .counters
         .iter()
         .filter(|((name, _), _)| *name == "net.writer_drops")
-        .map(|(_, g)| g.max)
+        .map(|(_, v)| *v)
         .sum();
     let net_ok = frames > 0;
     println!(
-        "tcp: per-peer frames_sent gauges populated: {}",
+        "tcp: per-peer frames_sent counters populated: {}",
         if net_ok { "ok" } else { "FAIL" }
     );
     println!(

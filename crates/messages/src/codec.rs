@@ -9,7 +9,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use iss_types::{Batch, ClientId, Error, Request, Result, SeqNr};
 
 /// Encodes a request.
-pub fn encode_request(req: &Request, buf: &mut BytesMut) {
+pub fn encode_request(req: &Request, buf: &mut impl BufMut) {
     buf.put_u32_le(req.id.client.0);
     buf.put_u64_le(req.id.timestamp);
     buf.put_u32_le(req.payload_size);
@@ -59,7 +59,7 @@ pub fn decode_request(buf: &mut Bytes) -> Result<Request> {
 }
 
 /// Encodes a batch.
-pub fn encode_batch(batch: &Batch, buf: &mut BytesMut) {
+pub fn encode_batch(batch: &Batch, buf: &mut impl BufMut) {
     buf.put_u32_le(batch.len() as u32);
     for req in batch.requests() {
         encode_request(req, buf);
@@ -80,7 +80,7 @@ pub fn decode_batch(buf: &mut Bytes) -> Result<Batch> {
 }
 
 /// Encodes a log entry `(sn, Option<Batch>)`; ⊥ is encoded with a zero tag.
-pub fn encode_log_entry(sn: SeqNr, batch: &Option<Batch>, buf: &mut BytesMut) {
+pub fn encode_log_entry(sn: SeqNr, batch: &Option<Batch>, buf: &mut impl BufMut) {
     buf.put_u64_le(sn);
     match batch {
         None => buf.put_u8(0),

@@ -27,7 +27,7 @@ use crate::codec::{decode_batch, decode_request, encode_batch, encode_request};
 use crate::isscp::{IssMsg, LogEntry};
 use crate::net::{NetMsg, SbMsg};
 use crate::pbft::{PbftMsg, PreparedProof};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use iss_types::{Batch, BucketId, Error, InstanceId, NodeId, RequestId, Result};
 
 // Leading tag bytes, one namespace per enum.
@@ -52,12 +52,13 @@ const ISS_STATE_RESPONSE: u8 = 2;
 const ISS_SNAPSHOT_REQUEST: u8 = 3;
 const ISS_SNAPSHOT_CHUNK: u8 = 4;
 
-/// Encodes a message into `buf`.
+/// Encodes a message, appending it to `buf` (any [`BufMut`], so a
+/// transport can encode straight behind a frame header it already wrote).
 ///
 /// Fails with [`Error::Codec`] for the simulator-only variants that have no
 /// wire representation (HotStuff/Raft/Reference SB messages, Mir baseline
 /// traffic, intra-replica stage handoffs).
-pub fn encode_net_msg(msg: &NetMsg, buf: &mut BytesMut) -> Result<()> {
+pub fn encode_net_msg(msg: &NetMsg, buf: &mut impl BufMut) -> Result<()> {
     match msg {
         NetMsg::Client(m) => {
             buf.put_u8(NET_CLIENT);
@@ -113,7 +114,7 @@ pub fn decode_net_msg(buf: &mut Bytes) -> Result<NetMsg> {
     }
 }
 
-fn encode_client_msg(msg: &ClientMsg, buf: &mut BytesMut) {
+fn encode_client_msg(msg: &ClientMsg, buf: &mut impl BufMut) {
     match msg {
         ClientMsg::Request(req) => {
             buf.put_u8(CLIENT_REQUEST);
@@ -171,7 +172,7 @@ fn decode_client_msg(buf: &mut Bytes) -> Result<ClientMsg> {
     }
 }
 
-fn encode_sb_msg(msg: &SbMsg, buf: &mut BytesMut) -> Result<()> {
+fn encode_sb_msg(msg: &SbMsg, buf: &mut impl BufMut) -> Result<()> {
     match msg {
         SbMsg::Pbft(m) => {
             encode_pbft_msg(m, buf);
@@ -187,7 +188,7 @@ fn decode_sb_msg(buf: &mut Bytes) -> Result<SbMsg> {
     Ok(SbMsg::Pbft(decode_pbft_msg(buf)?))
 }
 
-fn encode_pbft_msg(msg: &PbftMsg, buf: &mut BytesMut) {
+fn encode_pbft_msg(msg: &PbftMsg, buf: &mut impl BufMut) {
     match msg {
         PbftMsg::PrePrepare {
             view,
@@ -350,7 +351,7 @@ fn decode_pbft_msg(buf: &mut Bytes) -> Result<PbftMsg> {
     }
 }
 
-fn encode_iss_msg(msg: &IssMsg, buf: &mut BytesMut) {
+fn encode_iss_msg(msg: &IssMsg, buf: &mut impl BufMut) {
     match msg {
         IssMsg::Checkpoint {
             epoch,
@@ -543,7 +544,7 @@ fn decode_iss_msg(buf: &mut Bytes) -> Result<IssMsg> {
     }
 }
 
-fn encode_opt_batch(batch: &Option<Batch>, buf: &mut BytesMut) {
+fn encode_opt_batch(batch: &Option<Batch>, buf: &mut impl BufMut) {
     match batch {
         None => buf.put_u8(0),
         Some(b) => {
@@ -561,7 +562,7 @@ fn decode_opt_batch(buf: &mut Bytes) -> Result<Option<Batch>> {
     }
 }
 
-fn put_bytes(b: &Bytes, buf: &mut BytesMut) {
+fn put_bytes(b: &Bytes, buf: &mut impl BufMut) {
     buf.put_u32_le(b.len() as u32);
     buf.put_slice(b);
 }
@@ -605,6 +606,7 @@ mod tests {
     use super::*;
     use crate::mir::MirMsg;
     use crate::stage::StageMsg;
+    use bytes::BytesMut;
     use iss_types::{ClientId, Request};
 
     fn roundtrip(msg: NetMsg) {

@@ -198,11 +198,16 @@ pub struct TcpCluster {
     stamped: Mutex<Vec<StampedTotals>>,
 }
 
-/// Per peer: frames, bytes and connects already counted.
-type StampedTotals = HashMap<NodeId, [u64; 3]>;
+/// Per peer: frames, bytes, connects and drops already counted.
+type StampedTotals = HashMap<NodeId, [u64; 4]>;
 
 /// Transport totals recorded as counters, in [`StampedTotals`] order.
-const TRANSPORT_COUNTERS: [&str; 3] = ["net.frames_sent", "net.bytes_sent", "net.reconnects"];
+const TRANSPORT_COUNTERS: [&str; 4] = [
+    "net.frames_sent",
+    "net.bytes_sent",
+    "net.reconnects",
+    "net.writer_drops",
+];
 
 /// Adds the growth of one runtime's per-peer transport totals since the
 /// last stamp to `tel`'s counters. Counters sum in
@@ -215,6 +220,7 @@ fn stamp_transport_totals(tel: &TelemetryHandle, stats: &NetStats, stamped: &mut
             p.frames_sent.load(Relaxed),
             p.bytes_sent.load(Relaxed),
             p.connects.load(Relaxed),
+            p.dropped.load(Relaxed),
         ];
         let seen = stamped.entry(*peer).or_default();
         for ((name, now), seen) in TRANSPORT_COUNTERS.iter().zip(now).zip(seen.iter_mut()) {
@@ -336,9 +342,10 @@ impl TcpCluster {
     ///
     /// Before merging, each live node's transport statistics are stamped
     /// into its telemetry — levels as gauges (`net.mailbox_depth`,
-    /// `net.writer_depth[peer]`, `net.writer_drops[peer]`), totals as
-    /// counters (`net.frames_sent[peer]`, `net.bytes_sent[peer]`,
-    /// `net.reconnects[peer]`) that sum across nodes and incarnations — so
+    /// `net.writer_depth[peer]`), totals as counters
+    /// (`net.frames_sent[peer]`, `net.bytes_sent[peer]`,
+    /// `net.reconnects[peer]`, `net.writer_drops[peer]`) that sum across
+    /// nodes and incarnations — so
     /// the snapshot carries the satellite view of the wire next to the
     /// protocol's latency histograms.
     pub fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
@@ -373,7 +380,6 @@ impl TcpCluster {
                 let idx = peer.0;
                 tel.gauge_set_for("net.writer_depth", idx, p.max_queue_depth.load(Relaxed));
                 tel.gauge_set_for("net.writer_depth", idx, p.queue_depth.load(Relaxed));
-                tel.gauge_set_for("net.writer_drops", idx, p.dropped.load(Relaxed));
             }
         }
         let mut merged = TelemetrySnapshot::empty();
@@ -501,6 +507,7 @@ mod tests {
             p.frames_sent.store(frames, Relaxed);
             p.bytes_sent.store(frames * 100, Relaxed);
             p.connects.store(1, Relaxed);
+            p.dropped.store(frames / 2, Relaxed);
             stats.peers.insert(NodeId(*peer), Arc::new(p));
         }
         stats
@@ -527,6 +534,7 @@ mod tests {
         }
         let peer2 = &node_stats[1].peers[&NodeId(2)];
         peer2.frames_sent.store(9, Relaxed);
+        peer2.dropped.store(5, Relaxed);
         stamp_transport_totals(&handles[1], &node_stats[1], &mut stamped[1]);
 
         let shards: Vec<TelemetrySnapshot> =
@@ -544,5 +552,7 @@ mod tests {
         // Peer 2 hears from both nodes: 10 + 9 frames, not max(10, 9).
         assert_eq!(counter(&merged, "net.frames_sent", 2), 19);
         assert_eq!(counter(&merged, "net.reconnects", 2), 2);
+        // Drops sum too (5 + 5), where a cumulative gauge merged to max(5, 5).
+        assert_eq!(counter(&merged, "net.writer_drops", 2), 10);
     }
 }

@@ -9,7 +9,7 @@
 //! responses: a client never listens, so the node writes `Response` frames
 //! back over the client's own inbound connection, keyed by the hello.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use iss_messages::wire::{decode_net_msg, encode_net_msg};
 use iss_messages::NetMsg;
 use iss_runtime::{Addr, StageRole};
@@ -25,15 +25,51 @@ const ADDR_NODE: u8 = 0;
 const ADDR_CLIENT: u8 = 1;
 const ADDR_STAGE: u8 = 2;
 
-/// Writes one length-prefixed frame.
+/// Appends one frame to `out`: a 4-byte length placeholder, the payload
+/// `body` writes, then the real length patched into the placeholder. Every
+/// frame the crate sends is built here, so a frame always leaves in one
+/// piece and its payload is never copied out of an intermediate buffer.
+fn append_frame(
+    out: &mut Vec<u8>,
+    body: impl FnOnce(&mut Vec<u8>) -> io::Result<()>,
+) -> io::Result<()> {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    let len = body(out).and_then(|()| {
+        u32::try_from(out.len() - start - 4)
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame longer than u32::MAX"))
+    });
+    match len {
+        Ok(len) => {
+            out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+            Ok(())
+        }
+        Err(e) => {
+            out.truncate(start);
+            Err(e)
+        }
+    }
+}
+
+/// Appends one frame carrying `msg` to `out`, encoding the message straight
+/// behind its length prefix. On error `out` is left as it was.
+pub(crate) fn append_msg_frame(out: &mut Vec<u8>, msg: &NetMsg) -> io::Result<()> {
+    append_frame(out, |out| encode_into(msg, out))
+}
+
+/// Writes one length-prefixed frame with a single `write_all`.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let len = (payload.len() as u32).to_le_bytes();
-    w.write_all(&len)?;
-    w.write_all(payload)?;
+    let mut buf = Vec::with_capacity(4 + payload.len());
+    append_frame(&mut buf, |out| {
+        out.extend_from_slice(payload);
+        Ok(())
+    })?;
+    w.write_all(&buf)?;
     w.flush()
 }
 
-/// Reads one length-prefixed frame.
+/// Reads one length-prefixed frame. Wrap a socket in a `BufReader` first:
+/// on a bare stream this costs two `read` calls per frame.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
@@ -51,10 +87,13 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
 
 /// Encodes a message into a frame payload.
 pub fn encode_msg(msg: &NetMsg) -> io::Result<Vec<u8>> {
-    let mut buf = BytesMut::new();
-    encode_net_msg(msg, &mut buf)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-    Ok(buf.to_vec())
+    let mut buf = Vec::new();
+    encode_into(msg, &mut buf)?;
+    Ok(buf)
+}
+
+fn encode_into(msg: &NetMsg, out: &mut Vec<u8>) -> io::Result<()> {
+    encode_net_msg(msg, out).map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))
 }
 
 /// Decodes a frame payload into a message.
@@ -73,7 +112,7 @@ pub fn decode_msg(payload: Vec<u8>) -> io::Result<NetMsg> {
 
 /// Encodes a hello payload announcing `addr`.
 pub fn encode_hello(addr: Addr) -> Vec<u8> {
-    let mut buf = BytesMut::new();
+    let mut buf = Vec::new();
     match addr {
         Addr::Node(n) => {
             buf.put_u8(ADDR_NODE);
@@ -93,7 +132,7 @@ pub fn encode_hello(addr: Addr) -> Vec<u8> {
             buf.put_u32_le(index);
         }
     }
-    buf.to_vec()
+    buf
 }
 
 /// Decodes a hello payload.
@@ -132,17 +171,76 @@ mod tests {
     use iss_messages::ClientMsg;
     use iss_types::{Request, RequestId};
 
+    /// Yields its pieces one `read` call at a time (never more than one
+    /// piece per call), counting the calls.
+    struct Pieces<'a> {
+        pieces: std::collections::VecDeque<&'a [u8]>,
+        reads: usize,
+    }
+
+    impl Read for Pieces<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            let Some(piece) = self.pieces.front_mut() else {
+                return Ok(0);
+            };
+            let n = piece.len().min(buf.len());
+            buf[..n].copy_from_slice(&piece[..n]);
+            *piece = &piece[n..];
+            if piece.is_empty() {
+                self.pieces.pop_front();
+            }
+            Ok(n)
+        }
+    }
+
     #[test]
     fn frames_roundtrip_over_a_buffer() {
+        // Message frames and raw frames (one of them empty), all appended
+        // to one buffer, as a writer burst or a client reply batch is.
+        let mut expected: Vec<Option<NetMsg>> = (0..40u64)
+            .map(|i| {
+                Some(NetMsg::Client(if i % 3 == 0 {
+                    ClientMsg::Request(Request::new(ClientId(1), i, vec![i as u8; i as usize * 7]))
+                } else {
+                    ClientMsg::Response {
+                        request: RequestId::new(ClientId(1), i),
+                        seq_nr: i,
+                    }
+                }))
+            })
+            .collect();
+        expected.insert(17, None);
         let mut wire = Vec::new();
-        write_frame(&mut wire, b"hello").unwrap();
-        write_frame(&mut wire, b"").unwrap();
-        write_frame(&mut wire, &[7u8; 300]).unwrap();
-        let mut r = &wire[..];
-        assert_eq!(read_frame(&mut r).unwrap(), b"hello");
-        assert_eq!(read_frame(&mut r).unwrap(), b"");
-        assert_eq!(read_frame(&mut r).unwrap(), vec![7u8; 300]);
-        assert!(read_frame(&mut r).is_err(), "stream exhausted");
+        let mut starts = Vec::new();
+        for item in &expected {
+            starts.push(wire.len());
+            match item {
+                Some(msg) => append_msg_frame(&mut wire, msg).unwrap(),
+                None => write_frame(&mut wire, b"").unwrap(),
+            }
+        }
+        // The first read ends in the middle of frame 30's payload.
+        let split = starts[30] + 6;
+        assert!(split < starts[31]);
+        let mut reader = std::io::BufReader::with_capacity(
+            64 << 10,
+            Pieces {
+                pieces: [&wire[..split], &wire[split..]].into(),
+                reads: 0,
+            },
+        );
+        for item in &expected {
+            let payload = read_frame(&mut reader).unwrap();
+            match item {
+                Some(msg) => assert_eq!(&decode_msg(payload).unwrap(), msg),
+                None => assert!(payload.is_empty()),
+            }
+        }
+        assert!(read_frame(&mut reader).is_err(), "stream exhausted");
+        // One read per piece plus the one that saw EOF: the buffered reader
+        // never costs a read per frame.
+        assert_eq!(reader.get_ref().reads, 3);
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //!   mailbox, and executes handler callbacks strictly serially, so the
 //!   process sees the same single-threaded world it sees under the
 //!   simulator;
-//! * an **acceptor thread** (replicas only) — accepts inbound connections,
-//!   reads the hello frame identifying the dialer, hands the write half to
-//!   the protocol thread and becomes the connection's reader, decoding
+//! * an **acceptor thread** (replicas only) — accepts inbound connections;
+//!   each gets a reader thread that reads the hello frame identifying the
+//!   dialer, hands the write half to the protocol thread and then decodes
 //!   frames into the mailbox;
 //! * one **writer thread per dialed peer** — owns the outbound connection
 //!   to that peer, dials lazily with exponential backoff, re-dials (and
@@ -20,6 +20,26 @@
 //!   each fresh connection. The peer's current socket address is re-read
 //!   from the shared [`PeerTable`] on every dial, so a peer that restarts
 //!   on a new port is found without reconfiguration.
+//!
+//! # Write and read paths
+//!
+//! Every frame is built by one routine, `frame::append_msg_frame`, which
+//! encodes the message straight into the destination buffer behind its
+//! 4-byte length; a frame is never split across two syscalls.
+//!
+//! * **Peer sends.** The protocol thread encodes each frame into its own
+//!   buffer and queues it to the peer's writer (at most `WRITER_QUEUE`
+//!   frames; the rest are dropped and counted). A writer woken by one frame
+//!   also takes every frame already queued behind it, up to `WRITE_BURST`
+//!   bytes, and writes the burst with one `write_all`. [`PeerStats`] still
+//!   counts frames and payload bytes, not writes.
+//! * **Client replies.** All frames one callback sends to the same client
+//!   are appended to that connection's buffer and written with one
+//!   `write_all` when the callback's actions have been routed, in send
+//!   order.
+//! * **Reads.** Every reader wraps its socket in a `READ_BUFFER`-byte
+//!   `BufReader`, so a burst of small frames costs one `read`. Each decoded
+//!   frame is still handed to the protocol thread as its own mailbox entry.
 //!
 //! # Connection policy
 //!
@@ -31,6 +51,11 @@
 //! unambiguous (exactly one writer per socket) at the cost of two sockets
 //! per node pair — the simulator models neither, see
 //! `docs/architecture.md`.
+//!
+//! On shutdown every socket is shut down (`Shutdown::Both`) by the thread
+//! that owns it: each writer its dialed connection, the protocol thread the
+//! inbound ones. The readers at both ends of every connection then see EOF
+//! and exit, so a shut-down runtime leaves no thread behind.
 //!
 //! # Time
 //!
@@ -47,8 +72,8 @@ use iss_runtime::{Action, Addr, Driver, Event, Process, SansIo};
 use iss_types::{NodeId, Time, TimerId};
 use std::cmp::Reverse;
 use std::collections::{HashMap, VecDeque};
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufReader, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
 use std::sync::{Arc, RwLock};
@@ -81,6 +106,15 @@ pub type ProcessBuilder = Box<dyn FnOnce() -> Box<dyn Process<NetMsg>> + Send>;
 /// warning — loss is tolerated, but never silent.
 const WRITER_QUEUE: usize = 4096;
 
+/// A writer thread, woken by one frame, also takes every frame already
+/// queued behind it until the burst reaches this many bytes, and writes the
+/// burst with one `write_all`. A single larger frame is written alone.
+const WRITE_BURST: usize = 64 << 10;
+
+/// Read buffer of every connection's reader thread: a burst of small frames
+/// costs one `read` instead of two per frame.
+const READ_BUFFER: usize = 64 << 10;
+
 /// Emit a dropped-frame warning on the first drop to a peer and then once
 /// every this many drops (a saturated writer queue drops frames in bursts;
 /// per-frame logging would melt stderr exactly when the node is busiest).
@@ -101,9 +135,11 @@ pub struct PeerStats {
     pub dropped: AtomicU64,
     /// Successful dials (the first connect plus every reconnect).
     pub connects: AtomicU64,
-    /// Frames successfully written to the socket.
+    /// Frames successfully written to the socket (a burst of k frames
+    /// written in one call counts k).
     pub frames_sent: AtomicU64,
-    /// Bytes successfully written to the socket.
+    /// Payload bytes successfully written to the socket (length prefixes
+    /// excluded).
     pub bytes_sent: AtomicU64,
 }
 
@@ -198,12 +234,13 @@ impl TcpHandle {
         Arc::clone(&self.stats)
     }
 
-    /// Stops the runtime: the protocol thread drops the hosted process
-    /// (flushing any durable storage it holds), the acceptor is woken and
-    /// exits, and reader/writer threads die as their channels and sockets
-    /// close. Blocks until the protocol thread has terminated, so a caller
-    /// that restarts the process immediately afterwards observes
-    /// fully-persisted state.
+    /// Stops the runtime: the protocol thread shuts down its inbound sockets
+    /// and drops the hosted process (flushing any durable storage it holds),
+    /// the acceptor is woken and exits, writer threads shut down their
+    /// dialed sockets as their channels close, and every reader exits on the
+    /// resulting EOF. Blocks until the protocol thread has terminated, so a
+    /// caller that restarts the process immediately afterwards observes
+    /// fully-persisted state; the other threads finish shortly after.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
         let _ = self.mailbox.send(Input::Shutdown);
@@ -302,8 +339,7 @@ fn protocol_loop(
     // The insertion sequence keeps equal-deadline timers FIFO, matching the
     // simulator's same-time submission order.
     let mut timers: BinaryHeapWheel = BinaryHeapWheel::new();
-    // Write halves of inbound connections (clients, which never listen).
-    let mut inbound: HashMap<Addr, TcpStream> = HashMap::new();
+    let mut inbound = InboundConns::default();
     // Self-addressed sends loop straight back as the next events, ahead of
     // anything the network delivers — same as the simulator's zero-latency
     // local delivery being scheduled before later arrivals.
@@ -361,7 +397,7 @@ fn protocol_loop(
         let input = match mailbox.recv_timeout(wait) {
             Ok(input) => input,
             Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => return,
+            Err(RecvTimeoutError::Disconnected) => break,
         };
         stats.mailbox_depth.fetch_sub(1, Ordering::Relaxed);
         match input {
@@ -377,25 +413,86 @@ fn protocol_loop(
                     now(),
                 );
             }
-            Input::Inbound { from, stream } => {
-                inbound.insert(from, stream);
-            }
-            Input::Shutdown => return,
+            Input::Inbound { from, stream } => inbound.insert(from, stream),
+            Input::Shutdown => break,
         }
     }
-    // On return: `driver` (and with it the process and its storage handle)
-    // drops here, on the protocol thread; `writers` senders drop, ending the
-    // writer threads; `inbound` streams close, ending remote readers.
+    // Shutting the inbound sockets down wakes their readers here and at the
+    // dialing end with EOF. Then `driver` (and with it the process and its
+    // storage handle) drops on this thread, and the `writers` senders drop,
+    // ending the writer threads, which shut down the sockets they dialed.
+    inbound.shutdown_all();
+}
+
+/// Encodes `msg` as one frame appended to `out`.
+fn append_frame(out: &mut Vec<u8>, msg: &NetMsg, to: Addr) {
+    if let Err(e) = frame::append_msg_frame(out, msg) {
+        // Only simulator-only message kinds fail to encode; reaching this is
+        // a deployment bug (e.g. booting a compartmentalized node over TCP),
+        // not a runtime state.
+        panic!("unencodable message to {to:?}: {e}");
+    }
+}
+
+/// Write halves of inbound connections, keyed by their hello, each with the
+/// reply frames queued to it during the current callback. Only clients are
+/// written to (they never listen); node connections are registered too, so
+/// that shutdown can close them.
+#[derive(Default)]
+struct InboundConns {
+    conns: HashMap<Addr, (TcpStream, Vec<u8>)>,
+    /// Connections whose buffer is non-empty, in first-queued order.
+    queued: Vec<Addr>,
+}
+
+impl InboundConns {
+    fn insert(&mut self, from: Addr, stream: TcpStream) {
+        self.conns.insert(from, (stream, Vec::new()));
+    }
+
+    /// Queues one frame to `to`; a vanished client just loses it.
+    fn queue(&mut self, to: Addr, msg: &NetMsg) {
+        if let Some((_, out)) = self.conns.get_mut(&to) {
+            if out.is_empty() {
+                self.queued.push(to);
+            }
+            append_frame(out, msg, to);
+        }
+    }
+
+    /// Writes every connection's queued frames with one `write_all` each;
+    /// a connection whose write fails is dropped.
+    fn flush(&mut self) {
+        for to in self.queued.drain(..) {
+            let (stream, out) = self
+                .conns
+                .get_mut(&to)
+                .expect("a connection stays registered while frames are queued to it");
+            let written = stream.write_all(out);
+            out.clear();
+            if written.is_err() {
+                if let Some((stream, _)) = self.conns.remove(&to) {
+                    let _ = stream.shutdown(Shutdown::Both);
+                }
+            }
+        }
+    }
+
+    fn shutdown_all(&mut self) {
+        for (stream, _) in self.conns.values() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+    }
 }
 
 /// Routes one callback's actions: timers onto the wheel, sends onto the
-/// right socket.
+/// right socket. Replies to one client leave in one write at the end.
 fn apply(
     self_addr: Addr,
     actions: &mut Vec<Action<NetMsg>>,
     timers: &mut BinaryHeapWheel,
     writers: &HashMap<NodeId, (SyncSender<Vec<u8>>, Arc<PeerStats>)>,
-    inbound: &mut HashMap<Addr, TcpStream>,
+    inbound: &mut InboundConns,
     selfq: &mut VecDeque<NetMsg>,
     now: Time,
 ) {
@@ -405,57 +502,45 @@ fn apply(
                 timers.push(now.0 + delay.as_micros(), id, kind);
             }
             Action::Send { to, msg } if to == self_addr => selfq.push_back(msg),
-            Action::Send { to, msg } => {
-                let payload = match frame::encode_msg(&msg) {
-                    Ok(p) => p,
-                    // Only simulator-only message kinds fail to encode;
-                    // reaching this is a deployment bug (e.g. booting a
-                    // compartmentalized node over TCP), not a runtime state.
-                    Err(e) => panic!("unencodable message to {to:?}: {e}"),
-                };
-                match to {
-                    Addr::Node(n) => {
-                        if let Some((w, stats)) = writers.get(&n) {
-                            // Count the frame in *before* the send: the writer
-                            // thread may drain (and decrement) it the instant
-                            // try_send returns, and the depth counter must
-                            // never dip below zero.
-                            stats.note_enqueued();
-                            match w.try_send(payload) {
-                                Ok(()) => {}
-                                Err(TrySendError::Full(_)) => {
-                                    stats.note_dequeued();
-                                    let drops = stats.dropped.fetch_add(1, Ordering::Relaxed) + 1;
-                                    if drops == 1 || drops % DROP_WARN_EVERY == 0 {
-                                        eprintln!(
-                                            "iss-net: writer queue to {n:?} full, \
-                                             {drops} frame(s) dropped so far"
-                                        );
-                                    }
-                                }
-                                // Shutdown path: the writer thread is gone.
-                                Err(TrySendError::Disconnected(_)) => {
-                                    stats.note_dequeued();
-                                }
+            Action::Send { to, msg } => match to {
+                Addr::Node(n) => {
+                    let Some((w, stats)) = writers.get(&n) else {
+                        continue;
+                    };
+                    let mut frame = Vec::new();
+                    append_frame(&mut frame, &msg, to);
+                    // Count the frame in *before* the send: the writer thread
+                    // may drain (and decrement) it the instant try_send
+                    // returns, and the depth counter must never dip below
+                    // zero.
+                    stats.note_enqueued();
+                    match w.try_send(frame) {
+                        Ok(()) => {}
+                        Err(TrySendError::Full(_)) => {
+                            stats.note_dequeued();
+                            let drops = stats.dropped.fetch_add(1, Ordering::Relaxed) + 1;
+                            if drops == 1 || drops % DROP_WARN_EVERY == 0 {
+                                eprintln!(
+                                    "iss-net: writer queue to {n:?} full, \
+                                     {drops} frame(s) dropped so far"
+                                );
                             }
                         }
-                    }
-                    // Clients never listen: answer over their inbound
-                    // connection. A vanished client just loses the frame.
-                    Addr::Client(_) => {
-                        if let Some(stream) = inbound.get_mut(&to) {
-                            if frame::write_frame(stream, &payload).is_err() {
-                                inbound.remove(&to);
-                            }
+                        // Shutdown path: the writer thread is gone.
+                        Err(TrySendError::Disconnected(_)) => {
+                            stats.note_dequeued();
                         }
-                    }
-                    Addr::Stage { .. } => {
-                        debug_assert!(false, "stage addresses are simulator-only");
                     }
                 }
-            }
+                // Clients never listen: answer over their inbound connection.
+                Addr::Client(_) => inbound.queue(to, &msg),
+                Addr::Stage { .. } => {
+                    debug_assert!(false, "stage addresses are simulator-only");
+                }
+            },
         }
     }
+    inbound.flush();
 }
 
 /// Min-heap timer wheel on the monotonic clock.
@@ -513,18 +598,18 @@ fn acceptor_loop(listener: TcpListener, mailbox: MailboxTx, stop: Arc<AtomicBool
         let mailbox = mailbox.clone();
         thread::spawn(move || {
             let _ = stream.set_nodelay(true);
-            let mut reader = stream;
             // Bound the hello wait so a connection that never identifies
             // itself cannot hold this thread forever.
-            let _ = reader.set_read_timeout(Some(std::time::Duration::from_secs(5)));
+            let _ = stream.set_read_timeout(Some(std::time::Duration::from_secs(5)));
+            let mut reader = BufReader::with_capacity(READ_BUFFER, stream);
             let Ok(hello) = frame::read_frame(&mut reader) else {
                 return;
             };
             let Ok(from) = frame::decode_hello(&hello) else {
                 return;
             };
-            let _ = reader.set_read_timeout(None);
-            if let Ok(write_half) = reader.try_clone() {
+            let _ = reader.get_ref().set_read_timeout(None);
+            if let Ok(write_half) = reader.get_ref().try_clone() {
                 if mailbox
                     .send(Input::Inbound {
                         from,
@@ -543,9 +628,9 @@ fn acceptor_loop(listener: TcpListener, mailbox: MailboxTx, stop: Arc<AtomicBool
 /// Decodes frames from one connection into the mailbox. Exits when the
 /// socket or the mailbox closes, or on the first malformed frame (a peer
 /// speaking garbage gets its connection dropped, not interpreted).
-fn reader_loop(mut stream: TcpStream, from: Addr, mailbox: MailboxTx) {
+fn reader_loop(mut reader: BufReader<TcpStream>, from: Addr, mailbox: MailboxTx) {
     loop {
-        let Ok(payload) = frame::read_frame(&mut stream) else {
+        let Ok(payload) = frame::read_frame(&mut reader) else {
             return;
         };
         let Ok(msg) = frame::decode_msg(payload) else {
@@ -560,9 +645,12 @@ fn reader_loop(mut stream: TcpStream, from: Addr, mailbox: MailboxTx) {
 /// Owns the outbound connection to one peer: dials lazily (re-reading the
 /// peer table each attempt, with exponential backoff), sends the hello on
 /// every fresh connection, spawns a reader for whatever the peer writes
-/// back, and re-dials whenever a write fails — the frame being written when
-/// the connection died is carried over to the new connection, frames queued
-/// behind a full channel are dropped by the sender instead.
+/// back, and re-dials whenever a write fails. Each wakeup writes a burst:
+/// the frame that woke it plus every frame already queued, up to
+/// [`WRITE_BURST`] bytes, in one `write_all`. The burst being written when
+/// the connection died is re-sent whole on the new connection; frames
+/// queued behind a full channel are dropped by the sender instead. On exit
+/// it shuts its socket down, so the readers at both ends see EOF.
 fn writer_loop(
     peer: NodeId,
     peers: PeerTable,
@@ -574,11 +662,18 @@ fn writer_loop(
 ) {
     let mut conn: Option<TcpStream> = None;
     let mut backoff = 10u64;
-    'frames: for payload in rx.iter() {
+    'bursts: for mut burst in rx.iter() {
         stats.note_dequeued();
+        let mut frames = 1u64;
+        while burst.len() < WRITE_BURST {
+            let Ok(frame) = rx.try_recv() else { break };
+            stats.note_dequeued();
+            burst.extend_from_slice(&frame);
+            frames += 1;
+        }
         loop {
             if stop.load(Ordering::SeqCst) {
-                return;
+                break 'bursts;
             }
             if conn.is_none() {
                 let target = peers.read().map(|t| t.get(&peer).copied()).unwrap_or(None);
@@ -591,9 +686,8 @@ fn writer_loop(
                         }
                         if let Ok(read_half) = stream.try_clone() {
                             let mailbox = mailbox.clone();
-                            thread::spawn(move || {
-                                reader_loop(read_half, Addr::Node(peer), mailbox)
-                            });
+                            let reader = BufReader::with_capacity(READ_BUFFER, read_half);
+                            thread::spawn(move || reader_loop(reader, Addr::Node(peer), mailbox));
                         }
                         conn = Some(stream);
                         backoff = 10;
@@ -607,20 +701,24 @@ fn writer_loop(
                 }
             }
             if let Some(stream) = &mut conn {
-                match frame::write_frame(stream, &payload) {
+                match stream.write_all(&burst) {
                     Ok(()) => {
-                        stats.frames_sent.fetch_add(1, Ordering::Relaxed);
+                        stats.frames_sent.fetch_add(frames, Ordering::Relaxed);
                         stats
                             .bytes_sent
-                            .fetch_add(payload.len() as u64, Ordering::Relaxed);
-                        continue 'frames;
+                            .fetch_add(burst.len() as u64 - 4 * frames, Ordering::Relaxed);
+                        continue 'bursts;
                     }
                     Err(_) => {
-                        conn = None;
-                        continue;
+                        if let Some(dead) = conn.take() {
+                            let _ = dead.shutdown(Shutdown::Both);
+                        }
                     }
                 }
             }
         }
+    }
+    if let Some(stream) = conn {
+        let _ = stream.shutdown(Shutdown::Both);
     }
 }
